@@ -41,7 +41,7 @@ use vnfrel::onsite::{CapacityPolicy, OnsitePrimalDual};
 use vnfrel::{OnlineScheduler, ProblemInstance, Scheme};
 use vnfrel_bench::{note, quiet_from_args, Scenario, ScenarioParams};
 
-/// Starts a classic (single-decide-thread) daemon on `127.0.0.1:0`,
+/// Starts a one-shard daemon over a caller-built scheduler on `127.0.0.1:0`,
 /// returning the bound address and the handle yielding the final report.
 fn spawn_daemon(
     instance: ProblemInstance,

@@ -212,9 +212,9 @@ pub struct ServeArgs {
     /// primary it has seen (`--auto-promote-ms`); `None` promotes only
     /// on an explicit `promote` control.
     pub auto_promote_ms: Option<u64>,
-    /// Region shards (`--shards`). 1 runs the classic single-decide-
-    /// thread daemon (bit-parity mode); >1 partitions the cloudlets
-    /// across that many independent decide threads.
+    /// Region shards (`--shards`): decide loops of the one serving
+    /// pipeline. 1 is the paper's single decision maker (bit-parity
+    /// mode); >1 partitions the cloudlets across that many loops.
     pub shards: usize,
     /// Flight-recorder dump directory (`--flight-dir`); the daemon
     /// writes `flight-<epoch>-<shard>.jsonl` there on panic, fencing,
@@ -610,8 +610,8 @@ SERVE OPTIONS (scenario flags as SIMULATE — topology, seed, horizon,
 capacity, scheme, algorithm, … define the instance and must match the
 loadgen side — plus):
   --addr <HOST:PORT>    listen address; port 0 picks a free port [127.0.0.1:7070]
-  --queue <N>           ingress queue bound; submits beyond it get typed
-                        overload rejections [256]
+  --queue <N>           per-shard ingress queue bound; submits beyond it
+                        get typed overload rejections [256]
   --workers <N>         connection worker threads [4]
   --snapshot <PATH>     crash-consistent snapshot target (written on the
                         snapshot control and at shutdown)
@@ -628,10 +628,10 @@ loadgen side — plus):
                         not-primary until promoted (vnfrel promote)
   --auto-promote-ms <N> standby self-promotes after N ms of primary
                         silence (requires --standby)
-  --shards <S>          partition the cloudlets across S independent
-                        decide threads (throughput tier; primal-dual
-                        only, no snapshots/replication; 1 = classic
-                        bit-parity daemon) [1]
+  --shards <S>          decide loops: 1 is the single decision maker
+                        (bit-parity with simulate); S > 1 partitions the
+                        cloudlets across S loops (primal-dual only; no
+                        snapshots, replication or --trace) [1]
   --flight-dir <DIR>    keep a bounded in-memory flight recorder of
                         recent pipeline events per shard and dump it as
                         flight-<epoch>-<shard>.jsonl on panic, fencing,
@@ -1064,6 +1064,13 @@ fn parse_serve(rest: &[String]) -> Result<Command, ParseError> {
             return Err(ParseError(
                 "--shards > 1 is incompatible with --snapshot/--resume; snapshots need \
                  --shards 1"
+                    .into(),
+            ));
+        }
+        if out.sim.trace.is_some() {
+            return Err(ParseError(
+                "--shards > 1 is incompatible with --trace; one trace file needs one decide \
+                 loop (use --flight-dir for per-shard rings)"
                     .into(),
             ));
         }
@@ -1926,6 +1933,7 @@ mod tests {
         assert!(parse(&sv(&["serve", "--shards", "2", "--replicate-to", "x:1"])).is_err());
         assert!(parse(&sv(&["serve", "--shards", "2", "--snapshot", "s.snap"])).is_err());
         assert!(parse(&sv(&["serve", "--shards", "2", "--resume"])).is_err());
+        assert!(parse(&sv(&["serve", "--shards", "2", "--trace", "t.jsonl"])).is_err());
         assert!(parse(&sv(&["serve", "--shards", "2", "--algorithm", "greedy"])).is_err());
     }
 

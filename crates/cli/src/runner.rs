@@ -36,8 +36,8 @@ use mec_serve::{
     encode_client, parse_server, referee, run_loadgen, run_open_loop, serve as serve_daemon,
     serve_sharded, ChaosArtifacts, ChaosConfig, ChaosPlan, ChaosProxy, ChaosSnapshotIo, ClientMsg,
     ControlAck, ControlAction, DecisionTap, LoadgenConfig, LoadgenReport, OpenLoopConfig,
-    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServeStats, ServerMsg, ShardedConfig,
-    ShardedReport, Snapshot, SubmitRequest,
+    ServeConfig, ServeError, ServeMetricIds, ServeReport, ServeStats, ServerMsg, Snapshot,
+    SubmitRequest,
 };
 
 /// Split output channels: result tables go to `out` (stdout), progress
@@ -813,9 +813,11 @@ fn scenario_fingerprint(args: &SimulateArgs) -> String {
     )
 }
 
-/// Runs the `serve` command: builds the scenario's instance, wires the
-/// selected scheduler to the daemon's decision tap, and blocks serving
-/// line-JSON admission requests until a shutdown control or signal.
+/// Runs the `serve` command: builds the scenario's instance and blocks
+/// serving line-JSON admission requests until a shutdown control or
+/// signal. With one shard the selected scheduler is wired to the
+/// daemon's decision tap; with `--shards S > 1` the daemon builds one
+/// primal-dual scheduler per cloudlet partition.
 ///
 /// # Errors
 ///
@@ -824,15 +826,12 @@ fn scenario_fingerprint(args: &SimulateArgs) -> String {
 /// or mismatched snapshot, [`CliError::Config`] on invalid scenarios.
 pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
     let (instance, _requests, _rng) = build_setup(&args.sim)?;
-    if args.shards > 1 {
-        return serve_shards(args, &instance, io);
-    }
-    let tap = DecisionTap::new();
-    let mut scheduler = make_tapped_scheduler(&instance, &args.sim, tap.clone())?;
     let mut registry = MetricsRegistry::new();
-    let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
+    let ids =
+        ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), args.shards);
 
     let mut config = ServeConfig::new(args.addr.clone());
+    config.shards = args.shards;
     config.queue_capacity = args.queue;
     config.workers = args.workers;
     config.snapshot_path = args.snapshot.as_ref().map(PathBuf::from);
@@ -849,10 +848,13 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
 
     io.note(format!("{instance}"))?;
     io.note(format!(
-        "serving {:?} {:?} as {} (fingerprint {})",
+        "serving {:?} {:?} as {} across {} shard(s) (cloudlet j -> shard j mod {}; \
+         fingerprint {})",
         args.sim.scheme,
         args.sim.algorithm,
         if args.standby { "standby" } else { "primary" },
+        args.shards,
+        args.shards,
         config.fingerprint
     ))?;
     if let Some(peer) = &args.replicate_to {
@@ -880,13 +882,26 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
             }
         }
     });
-    let result = serve_daemon(scheduler.as_mut(), &tap, &registry, &ids, &config, Some(tx));
+    let result = if args.shards > 1 {
+        serve_sharded(
+            &instance,
+            args.sim.scheme,
+            &registry,
+            &ids,
+            &config,
+            Some(tx),
+        )
+    } else {
+        let tap = DecisionTap::new();
+        let mut scheduler = make_tapped_scheduler(&instance, &args.sim, tap.clone())?;
+        serve_daemon(scheduler.as_mut(), &tap, &registry, &ids, &config, Some(tx))
+    };
     announce.join().ok();
     let report = result?;
 
     io.table(format!(
         "served: revenue {:.2}, admitted {}/{} ({} rejected, {} overloads), final slot {}, \
-         epoch {}, role {}",
+         epoch {}, role {}, {} cross-shard admits",
         report.stats.revenue,
         report.stats.admitted,
         report.stats.decided,
@@ -894,68 +909,7 @@ pub fn serve(args: &ServeArgs, io: &mut Output<'_>) -> Result<(), CliError> {
         report.stats.overloaded,
         report.slot,
         report.epoch,
-        report.role.as_str()
-    ))?;
-    if report.snapshot_written {
-        io.note(format!(
-            "snapshot -> {}",
-            args.snapshot.as_deref().unwrap_or("<none>")
-        ))?;
-    }
-    Ok(())
-}
-
-/// The `--shards > 1` arm of [`serve`]: region-sharded serving with one
-/// decide thread per cloudlet partition. No snapshots, replication or
-/// traces here — this is the saturation-throughput tier (DESIGN.md §14);
-/// `--shards 1` remains the bit-parity daemon.
-fn serve_shards(
-    args: &ServeArgs,
-    instance: &ProblemInstance,
-    io: &mut Output<'_>,
-) -> Result<(), CliError> {
-    let mut registry = MetricsRegistry::new();
-    let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-    let mut config = ShardedConfig::new(args.addr.clone());
-    config.shards = args.shards;
-    config.queue_capacity = args.queue;
-    config.workers = args.workers;
-    config.flight_dir = args.flight_dir.as_ref().map(PathBuf::from);
-
-    io.note(format!("{instance}"))?;
-    io.note(format!(
-        "serving {:?} {:?} across {} shards (cloudlet j -> shard j mod {})",
-        args.sim.scheme, args.sim.algorithm, args.shards, args.shards
-    ))?;
-    let (tx, rx) = mpsc::channel();
-    let quiet = args.sim.quiet;
-    let announce = std::thread::spawn(move || {
-        if let Ok(addr) = rx.recv() {
-            if !quiet {
-                eprintln!("listening on {addr} (sharded; shutdown control to drain)");
-            }
-        }
-    });
-    let result = serve_sharded(
-        instance,
-        args.sim.scheme,
-        &registry,
-        &ids,
-        &config,
-        Some(tx),
-    );
-    announce.join().ok();
-    let report = result?;
-
-    io.table(format!(
-        "served: revenue {:.2}, admitted {}/{} ({} rejected, {} overloads), {} shards, \
-         {} cross-shard admits",
-        report.stats.revenue,
-        report.stats.admitted,
-        report.stats.decided,
-        report.stats.rejected,
-        report.stats.overloaded,
-        args.shards,
+        report.role.as_str(),
         report.cross_shard_admits
     ))?;
     let per_shard = report
@@ -966,6 +920,12 @@ fn serve_shards(
         .collect::<Vec<_>>()
         .join(", ");
     io.table(format!("per-shard decided: {per_shard}"))?;
+    if report.snapshot_written {
+        io.note(format!(
+            "snapshot -> {}",
+            args.snapshot.as_deref().unwrap_or("<none>")
+        ))?;
+    }
     Ok(())
 }
 
@@ -2246,13 +2206,13 @@ fn drill_sharded(
     flight_dir: Option<PathBuf>,
 ) -> (
     std::net::SocketAddr,
-    std::thread::JoinHandle<Result<ShardedReport, ServeError>>,
+    std::thread::JoinHandle<Result<ServeReport, ServeError>>,
 ) {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let mut registry = MetricsRegistry::new();
         let ids = ServeMetricIds::register(&mut registry, instance.cloudlet_count());
-        let mut config = ShardedConfig::new("127.0.0.1:0");
+        let mut config = ServeConfig::new("127.0.0.1:0");
         config.shards = DRILL_SHARDS;
         config.flight_dir = flight_dir;
         serve_sharded(&instance, scheme, &registry, &ids, &config, Some(tx))
@@ -2549,7 +2509,7 @@ fn process_cell(
     instance: &ProblemInstance,
     scheme: Scheme,
     work: &[Request],
-    golden: &ShardedReport,
+    golden: &ServeReport,
     flight_dir: Option<&Path>,
 ) -> Result<CellOutcome, CliError> {
     let cut = work.len() / 2;

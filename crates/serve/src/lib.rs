@@ -1,16 +1,24 @@
 //! `mec-serve`: a long-running online admission daemon for the vnfrel
-//! schedulers, plus the closed-loop load generator that drives it.
+//! schedulers, plus the load generators that drive it.
 //!
 //! The batch engine (`mec-sim`) replays a whole trace in one call; this
 //! crate runs the *same* schedulers against live traffic. Clients submit
-//! requests over line-delimited JSON on TCP ([`protocol`]); a bounded
-//! ingress queue feeds a single decide thread that owns the scheduler,
-//! dual prices and capacity ledger ([`daemon`]); decisions stream back
-//! with full reject reasons and placement sites. The daemon persists its
+//! requests over line-delimited JSON on TCP ([`protocol`]), one at a
+//! time or in v3 batch frames. One serving pipeline ([`daemon`]) carries
+//! every request: an accept thread, a worker pool that parses and
+//! routes, one bounded queue per shard, and one decide loop per shard
+//! that owns its scheduler, dual prices and capacity ledger. Decisions
+//! stream back with full reject reasons and placement sites.
+//!
+//! With one shard the daemon is the paper's single decision maker and
+//! decides bit-identically to the batch engine; it can persist its
 //! state crash-consistently ([`snapshot`]) so a killed process resumes
-//! and continues the decision stream byte for byte, exposes Prometheus
-//! metrics over `GET /metrics`, and drains cleanly on SIGINT/SIGTERM or
-//! a `shutdown` control message.
+//! the decision stream byte for byte, and replicate its decision log to
+//! a standby ([`replica`]). With S > 1 shards ([`shard`]) the cloudlets
+//! are partitioned for throughput. Every shard count exposes Prometheus
+//! metrics over `GET /metrics` and live state over `GET /status`, heals
+//! a panicked decide loop from its recovery log, and drains cleanly on
+//! SIGINT/SIGTERM or a `shutdown` control message.
 //!
 //! Everything is `std`-only: `std::net` sockets, `Mutex`/`Condvar`
 //! bounded queues ([`pool`]), scoped threads. See DESIGN.md §12 for the

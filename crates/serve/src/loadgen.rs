@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 use mec_workload::Request;
 
 use crate::chaos::full_jitter_backoff;
+use crate::daemon::is_timeout;
 use crate::error::ServeError;
 use crate::protocol::{
     encode_batch_into, encode_client, is_batch_reply, parse_batch_reply_into, parse_server,
@@ -558,7 +559,7 @@ pub struct OpenLoopConfig {
     /// `s mod conns`, so each shard's stream stays on one socket and
     /// per-shard submission order is preserved.
     pub conns: usize,
-    /// Shard count of the daemon being driven (1 for the plain daemon);
+    /// Shard count of the daemon being driven;
     /// used only to route requests to connections.
     pub shards: usize,
     /// Requests per batch frame (1..=[`MAX_BATCH`]).
@@ -888,7 +889,7 @@ fn receive_replies(
             Ok(0) => break,
             Ok(_) if !line.ends_with('\n') => break, // EOF mid-line
             Ok(_) => {}
-            Err(e) if is_timeout_kind(&e) => {
+            Err(e) if is_timeout(&e) => {
                 if sender_done.load(Ordering::Acquire)
                     && (frames_done >= frames_sent.load(Ordering::Acquire)
                         || failed.load(Ordering::Acquire))
@@ -961,13 +962,6 @@ fn receive_replies(
         line.clear();
     }
     Ok(outcome)
-}
-
-fn is_timeout_kind(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 #[cfg(test)]

@@ -127,7 +127,9 @@ impl<T> BoundedQueue<T> {
 
     /// Dequeues, waiting at most `timeout` for an item.
     pub fn pop_timeout(&self, timeout: Duration) -> PopTimeout<T> {
-        let deadline = std::time::Instant::now() + timeout;
+        // The clock is read only once the queue turns out empty, so a
+        // busy consumer pays nothing over `pop`.
+        let mut deadline = None;
         let mut s = self.state.lock().unwrap();
         loop {
             if let Some(item) = s.items.pop_front() {
@@ -139,6 +141,7 @@ impl<T> BoundedQueue<T> {
                 return PopTimeout::Closed;
             }
             let now = std::time::Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return PopTimeout::TimedOut;
             }

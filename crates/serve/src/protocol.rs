@@ -125,11 +125,10 @@ pub enum ControlAction {
     /// Acked even when no flight directory is configured (the dump is
     /// then skipped), so operators can probe safely.
     DumpFlight,
-    /// Chaos injection: panic the decide thread of the given shard at
-    /// its next message boundary. Only the sharded daemon honours it
-    /// (its per-shard supervisor heals the shard); the single-shard
-    /// daemon refuses with an error reply. On the wire the shard rides
-    /// in an extra `"shard"` field next to `"action":"chaos-panic"`.
+    /// Chaos injection: panic the decide loop of the given shard at
+    /// its next message boundary; the shard's supervisor heals it, at
+    /// every shard count. On the wire the shard rides in an extra
+    /// `"shard"` field next to `"action":"chaos-panic"`.
     ChaosPanic(usize),
 }
 
@@ -243,11 +242,11 @@ pub enum ServerMsg {
     Error(String),
 }
 
-fn num(out: &mut String, v: f64) {
+pub(crate) fn num(out: &mut String, v: f64) {
     JsonValue::Num(v).encode_into(out);
 }
 
-fn uint(out: &mut String, v: usize) {
+pub(crate) fn uint(out: &mut String, v: impl std::fmt::Display) {
     use std::fmt::Write as _;
     let _ = write!(out, "{v}");
 }
@@ -429,7 +428,7 @@ pub fn encode_batch_reply_into(out: &mut String, seq: u64, codes: &[u8]) {
     out.push_str("]}");
 }
 
-fn perr(msg: impl Into<String>) -> ServeError {
+pub(crate) fn perr(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
 }
 
@@ -438,7 +437,7 @@ fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ServeError> {
         .ok_or_else(|| perr(format!("missing field '{key}'")))
 }
 
-fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
+pub(crate) fn field_usize(v: &JsonValue, key: &str) -> Result<usize, ServeError> {
     field(v, key)?
         .as_usize()
         .ok_or_else(|| perr(format!("field '{key}' must be a non-negative integer")))
@@ -451,7 +450,7 @@ fn field_f64(v: &JsonValue, key: &str) -> Result<f64, ServeError> {
     }
 }
 
-fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ServeError> {
+pub(crate) fn field_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, ServeError> {
     field(v, key)?
         .as_str()
         .ok_or_else(|| perr(format!("field '{key}' must be a string")))

@@ -49,7 +49,7 @@
 //! unreplicated (and are counted).
 
 use std::collections::VecDeque;
-use std::io::{self, Read as _, Write as _};
+use std::io::{Read as _, Write as _};
 use std::net::{TcpStream, ToSocketAddrs as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -57,8 +57,9 @@ use std::time::{Duration, Instant};
 
 use mec_obs::{parse_value, JsonValue};
 
+use crate::daemon::is_timeout;
 use crate::error::ServeError;
-use crate::protocol::MAX_LINE_BYTES;
+use crate::protocol::{field_str, field_usize, perr, uint, MAX_LINE_BYTES};
 
 /// One typed frame on the replication channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,11 +144,6 @@ pub enum ReplMsg {
     },
 }
 
-fn uint(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
 /// Encodes one replication frame as a line (no trailing newline).
 pub fn encode_repl(msg: &ReplMsg) -> String {
     let mut out = String::with_capacity(96);
@@ -184,7 +180,7 @@ pub fn encode_repl(msg: &ReplMsg) -> String {
         ReplMsg::Advance { epoch, seq, slot } => {
             head(&mut out, "repl-advance", *epoch, "seq", *seq);
             out.push_str(",\"slot\":");
-            uint(&mut out, *slot as u64);
+            uint(&mut out, *slot);
         }
         ReplMsg::Heartbeat { epoch, seq } => head(&mut out, "repl-heartbeat", *epoch, "seq", *seq),
         ReplMsg::Ack { epoch, seq } => head(&mut out, "repl-ack", *epoch, "seq", *seq),
@@ -205,28 +201,6 @@ pub fn encode_repl(msg: &ReplMsg) -> String {
     out
 }
 
-fn perr(msg: impl Into<String>) -> ServeError {
-    ServeError::Protocol(msg.into())
-}
-
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, ServeError> {
-    v.get(key)
-        .and_then(JsonValue::as_usize)
-        .map(|n| n as u64)
-        .ok_or_else(|| {
-            perr(format!(
-                "replication field '{key}' must be a non-negative integer"
-            ))
-        })
-}
-
-fn get_str(v: &JsonValue, key: &str) -> Result<String, ServeError> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| perr(format!("replication field '{key}' must be a string")))
-}
-
 /// True when a line looks like a replication frame (used by the daemon
 /// to route connections into replication mode).
 pub fn is_repl_line(line: &str) -> bool {
@@ -241,11 +215,9 @@ pub fn is_repl_line(line: &str) -> bool {
 /// mismatch, or missing/mistyped fields.
 pub fn parse_repl(line: &str) -> Result<ReplMsg, ServeError> {
     let v = parse_value(line).map_err(|e| perr(e.to_string()))?;
-    let kind = v
-        .get("type")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| perr("replication frame is missing 'type'"))?
-        .to_string();
+    let get_u64 = |v: &JsonValue, key| field_usize(v, key).map(|n| n as u64);
+    let get_str = |v: &JsonValue, key| field_str(v, key).map(str::to_string);
+    let kind = get_str(&v, "type")?;
     let version = get_u64(&v, "v")?;
     if version != 2 {
         return Err(perr(format!(
@@ -482,13 +454,6 @@ struct OutItem {
 enum Shake {
     Connected(Peer),
     Fenced { by: u64 },
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
 }
 
 fn handshake(config: &ReplSenderConfig, handle: &ReplHandle) -> Result<Shake, ServeError> {

@@ -14,6 +14,7 @@ use mec_obs::{JsonValue, MetricsRegistry};
 
 use crate::daemon::Role;
 use crate::metrics::ServeMetricIds;
+use crate::protocol::{num, uint};
 use crate::replica::ReplHandle;
 
 /// Milliseconds since the Unix epoch, now. Saturates at zero if the
@@ -142,13 +143,13 @@ impl StatusShared {
         out.push_str("{\"role\":\"");
         out.push_str(self.role().as_str());
         out.push_str("\",\"epoch\":");
-        push_u64(&mut out, self.epoch());
+        uint(&mut out, self.epoch());
         out.push_str(",\"uptime_seconds\":");
-        push_num(&mut out, self.uptime_seconds());
+        num(&mut out, self.uptime_seconds());
         out.push_str(",\"slot\":");
-        push_num(&mut out, registry.gauge_value(ids.slot));
+        num(&mut out, registry.gauge_value(ids.slot));
         out.push_str(",\"shard_count\":");
-        push_u64(&mut out, self.shards as u64);
+        uint(&mut out, self.shards as u64);
         out.push_str(",\"shards\":[");
         let lanes = ids.lanes.shard_count();
         for s in 0..self.shards {
@@ -156,7 +157,7 @@ impl StatusShared {
                 out.push(',');
             }
             out.push_str("{\"shard\":");
-            push_u64(&mut out, s as u64);
+            uint(&mut out, s as u64);
             // The lane series exist per registered shard; a mismatch
             // (should not happen) renders zeros rather than panicking.
             let (depth, shed, fill) = if s < lanes {
@@ -169,11 +170,11 @@ impl StatusShared {
                 (0.0, 0.0, 0.0)
             };
             out.push_str(",\"queue_depth\":");
-            push_num(&mut out, depth);
+            num(&mut out, depth);
             out.push_str(",\"shed\":");
-            push_num(&mut out, shed);
+            num(&mut out, shed);
             out.push_str(",\"backpressure\":");
-            push_num(&mut out, fill);
+            num(&mut out, fill);
             out.push('}');
         }
         out.push_str("],\"replication\":");
@@ -194,20 +195,20 @@ impl StatusShared {
                 out.push_str(",\"last_error\":\"");
                 out.push_str(h.last_error_str());
                 out.push_str("\",\"retries\":");
-                push_u64(&mut out, h.connect_failures.load(Ordering::Acquire));
+                uint(&mut out, h.connect_failures.load(Ordering::Acquire));
                 out.push_str(",\"reconnects\":");
-                push_u64(&mut out, h.reconnects.load(Ordering::Acquire));
+                uint(&mut out, h.reconnects.load(Ordering::Acquire));
                 out.push_str(",\"sent_seq\":");
-                push_u64(&mut out, h.sent_seq.load(Ordering::Acquire));
+                uint(&mut out, h.sent_seq.load(Ordering::Acquire));
                 out.push_str(",\"acked_seq\":");
-                push_u64(&mut out, h.acked_seq.load(Ordering::Acquire));
+                uint(&mut out, h.acked_seq.load(Ordering::Acquire));
                 out.push('}');
             }
             None => out.push_str("null"),
         }
         out.push_str(",\"last_snapshot_unix_ms\":");
         match self.last_snapshot_unix_ms() {
-            Some(ms) => push_u64(&mut out, ms),
+            Some(ms) => uint(&mut out, ms),
             None => out.push_str("null"),
         }
         out.push_str(",\"snapshot_fingerprint\":");
@@ -216,15 +217,6 @@ impl StatusShared {
         out.push('\n');
         out
     }
-}
-
-fn push_u64(out: &mut String, v: u64) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{v}");
-}
-
-fn push_num(out: &mut String, v: f64) {
-    JsonValue::Num(v).encode_into(out);
 }
 
 #[cfg(test)]

@@ -211,62 +211,73 @@ fn drive(
     run_loadgen(reqs, &config).unwrap()
 }
 
-/// The self-healing contract: killing every decide thread mid-stream
+/// The self-healing contract: killing every decide loop mid-stream
 /// with `chaos-panic` and letting the per-shard supervisors restore and
 /// replay must end with revenue *bit-identical* to the same trace served
 /// without any chaos. Replay re-derives state instead of re-charging, so
-/// even the float accumulation order must match.
+/// even the float accumulation order must match. The supervisor covers
+/// every shard count, so this runs at S = 1 (the daemon `serve()` builds
+/// around a caller's scheduler) and at S = 2 (`serve_sharded`).
 #[test]
 fn supervised_restart_after_injected_panic_is_revenue_bit_identical() {
     use mec_serve::{encode_client, parse_server, ClientMsg, ControlAction, ServerMsg};
     use std::io::{BufRead as _, BufReader, Write as _};
 
-    let shards = 2;
-    let (instance, reqs) = scenario(40, 82);
-    let cut = reqs.len() / 2;
+    for shards in [1, 2] {
+        let (instance, reqs) = scenario(40, 82);
+        let cut = reqs.len() / 2;
+        let spawn = |instance| {
+            if shards > 1 {
+                return spawn_sharded(instance, shards);
+            }
+            let config = mec_serve::ServeConfig::new("127.0.0.1:0");
+            let (addr, daemon) = common::spawn_daemon(instance, common::Algo::Onsite, config);
+            (addr.to_string(), daemon)
+        };
 
-    // Golden: the whole trace, no chaos.
-    let (golden_addr, golden_daemon) = spawn_sharded(instance.clone(), shards);
-    drive(&reqs, &golden_addr, 0, true);
-    let golden = golden_daemon.join().unwrap().unwrap();
-    assert_eq!(golden.shard_restarts, 0);
+        // Golden: the whole trace, no chaos.
+        let (golden_addr, golden_daemon) = spawn(instance.clone());
+        drive(&reqs, &golden_addr, 0, true);
+        let golden = golden_daemon.join().unwrap().unwrap();
+        assert_eq!(golden.shard_restarts, 0);
 
-    // Chaos: same trace, but both decide threads are killed at the
-    // midpoint.
-    let (addr, daemon) = spawn_sharded(instance, shards);
-    drive(&reqs[..cut], &addr, 0, false);
-    let stream = std::net::TcpStream::connect(&addr).unwrap();
-    stream.set_nodelay(true).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    for shard in 0..shards {
-        let mut line = encode_client(&ClientMsg::Control(ControlAction::ChaosPanic(shard)));
-        line.push('\n');
-        writer.write_all(line.as_bytes()).unwrap();
-        let mut reply = String::new();
-        assert!(reader.read_line(&mut reply).unwrap() > 0);
-        assert!(
-            matches!(parse_server(reply.trim()).unwrap(), ServerMsg::Ack(_)),
-            "chaos-panic not acked: {reply}"
+        // Chaos: same trace, but every decide loop is killed at the
+        // midpoint.
+        let (addr, daemon) = spawn(instance);
+        drive(&reqs[..cut], &addr, 0, false);
+        let stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for shard in 0..shards {
+            let mut line = encode_client(&ClientMsg::Control(ControlAction::ChaosPanic(shard)));
+            line.push('\n');
+            writer.write_all(line.as_bytes()).unwrap();
+            let mut reply = String::new();
+            assert!(reader.read_line(&mut reply).unwrap() > 0);
+            assert!(
+                matches!(parse_server(reply.trim()).unwrap(), ServerMsg::Ack(_)),
+                "chaos-panic not acked: {reply}"
+            );
+        }
+        drive(&reqs, &addr, cut, true);
+        let healed = daemon.join().unwrap().unwrap();
+
+        assert_eq!(healed.shard_restarts, shards as u64);
+        assert_eq!(
+            healed.stats.decided, golden.stats.decided,
+            "healed run decided a different number of requests (S = {shards})"
+        );
+        assert_eq!(
+            healed.stats.admitted, golden.stats.admitted,
+            "healed run admitted a different number of requests (S = {shards})"
+        );
+        assert_eq!(
+            healed.stats.revenue.to_bits(),
+            golden.stats.revenue.to_bits(),
+            "healed revenue drifted from golden at S = {shards}: {} vs {}",
+            healed.stats.revenue,
+            golden.stats.revenue
         );
     }
-    drive(&reqs, &addr, cut, true);
-    let healed = daemon.join().unwrap().unwrap();
-
-    assert_eq!(healed.shard_restarts, shards as u64);
-    assert_eq!(
-        healed.stats.decided, golden.stats.decided,
-        "healed run decided a different number of requests"
-    );
-    assert_eq!(
-        healed.stats.admitted, golden.stats.admitted,
-        "healed run admitted a different number of requests"
-    );
-    assert_eq!(
-        healed.stats.revenue.to_bits(),
-        golden.stats.revenue.to_bits(),
-        "healed revenue drifted from golden: {} vs {}",
-        healed.stats.revenue,
-        golden.stats.revenue
-    );
 }

@@ -503,3 +503,53 @@ fn sharded_status_reports_every_lane() {
     ));
     daemon.join().unwrap().unwrap();
 }
+
+#[test]
+fn sharded_daemon_ticks_its_slot_clock() {
+    use mec_obs::MetricsRegistry;
+    use mec_serve::{serve_sharded, ServeMetricIds, ShardedConfig};
+
+    let (instance, _reqs) = scenario(2, 97);
+    let shards = 2;
+    let mut registry = MetricsRegistry::new();
+    let ids = ServeMetricIds::register_sharded(&mut registry, instance.cloudlet_count(), shards);
+    let mut config = ShardedConfig::new("127.0.0.1:0");
+    config.shards = shards;
+    config.tick = Some(Duration::from_millis(10));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        serve_sharded(
+            &instance,
+            vnfrel::Scheme::OffSite,
+            &registry,
+            &ids,
+            &config,
+            Some(tx),
+        )
+    });
+    let addr = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("sharded daemon bound")
+        .to_string();
+
+    // The ticker advances the slot clock at every shard count; poll the
+    // stats ack until it shows (bounded, so a dead ticker fails).
+    let mut client = Client::connect(&addr);
+    let mut slot = 0;
+    for _ in 0..200 {
+        match client.send(&ClientMsg::Control(ControlAction::Stats)) {
+            ServerMsg::Ack(ack) => slot = ack.slot,
+            other => panic!("stats refused: {other:?}"),
+        }
+        if slot > 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(slot > 0, "a ticking 2-shard daemon never advanced its slot");
+    match client.send(&ClientMsg::Control(ControlAction::Shutdown)) {
+        ServerMsg::Ack(ack) => assert!(ack.slot >= slot),
+        other => panic!("shutdown refused: {other:?}"),
+    }
+    daemon.join().unwrap().unwrap();
+}
